@@ -9,9 +9,24 @@ use crate::Instr;
 /// Produced by [`Asm::assemble`]; consumed by the simulator.
 ///
 /// [`Asm::assemble`]: crate::Asm::assemble
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct Program {
     instrs: Vec<Instr>,
+}
+
+/// Written out so that `clone_from` reuses the destination's buffer (a
+/// derived `Clone` would reallocate): a checkpoint restore re-clones
+/// the program on every fork.
+impl Clone for Program {
+    fn clone(&self) -> Program {
+        Program {
+            instrs: self.instrs.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Program) {
+        self.instrs.clone_from(&src.instrs);
+    }
 }
 
 impl Program {

@@ -90,6 +90,12 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
+    /// Capacity-preserving restore: copies `src`'s events into this
+    /// plan's buffer.
+    pub(crate) fn restore_from(&mut self, src: &FaultPlan) {
+        self.events.clone_from(&src.events);
+    }
+
     /// A plan firing the given events; they are sorted by cycle (stable,
     /// so same-cycle events keep their given order).
     #[must_use]

@@ -635,8 +635,10 @@ impl PoolSlot {
     ///
     /// Forked jobs (`spec.start`) skip the reset/reload path entirely:
     /// the checkpoint is restored over whatever the slot held —
-    /// [`Machine::restore`] works across shapes and zeroes the previous
-    /// occupant's dirty memory tail — and the slot's program cache is
+    /// [`Machine::restore`] works across shapes; once the slot's
+    /// machine descends from the checkpoint it copies back only the
+    /// memory pages the previous trial wrote, and no byte of the
+    /// previous occupant survives — and the slot's program cache is
     /// invalidated so a later cold job reloads its own program.
     fn run_job(&mut self, spec: &MemberSpec) -> Result<SimStats, SimError> {
         if let Some(ck) = &spec.start {

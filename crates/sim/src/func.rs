@@ -29,16 +29,6 @@ pub enum EmuError {
         /// The runaway instruction index.
         pc: usize,
     },
-    /// A `rdcycle` was reached inside a fast-forward prefix
-    /// ([`Emulator::run_to_pc`]). The emulator's timer is a dynamic
-    /// instruction count while the pipeline's is a (noise-quantized)
-    /// cycle count, so executing it here would hand the cycle-accurate
-    /// region a poisoned timer value; the handoff contract rejects the
-    /// prefix instead.
-    RdCycleInPrefix {
-        /// The offending instruction index.
-        pc: usize,
-    },
 }
 
 impl fmt::Display for EmuError {
@@ -49,9 +39,6 @@ impl fmt::Display for EmuError {
                 write!(f, "no halt within {steps} steps")
             }
             EmuError::WildPc { pc } => write!(f, "control flow left the program at pc {pc}"),
-            EmuError::RdCycleInPrefix { pc } => {
-                write!(f, "rdcycle at pc {pc} inside a fast-forward prefix")
-            }
         }
     }
 }
@@ -149,56 +136,6 @@ impl Emulator {
             pc = match self.step_at(instr, pc)? {
                 Some(next) => next,
                 None => return Ok(()),
-            };
-        }
-    }
-
-    /// Runs `prog` from instruction 0 until control is *about to*
-    /// execute `stop_pc`, for at most `max_steps` dynamic instructions
-    /// — the functional tier of a two-tier (fast-forward + pipeline)
-    /// run. Returns the pc where execution stopped so a pipeline
-    /// machine can resume fetching there.
-    ///
-    /// Stops early, with `Ok`, if the next instruction is `halt`
-    /// (the halt is left unexecuted for the cycle-accurate tier to
-    /// commit).
-    ///
-    /// The prefix must be timing-free: a `rdcycle` inside it would
-    /// observe the emulator's instruction counter, not the pipeline's
-    /// noise-quantized cycle counter, so it is rejected with
-    /// [`EmuError::RdCycleInPrefix`] *before* executing.
-    ///
-    /// # Errors
-    ///
-    /// As [`Emulator::run`], plus [`EmuError::RdCycleInPrefix`].
-    pub fn run_to_pc(
-        &mut self,
-        prog: &Program,
-        stop_pc: usize,
-        max_steps: u64,
-    ) -> Result<usize, EmuError> {
-        let mut pc = 0usize;
-        let start = self.steps;
-        loop {
-            if pc == stop_pc {
-                return Ok(pc);
-            }
-            let Some(&instr) = prog.get(pc) else {
-                return Err(EmuError::WildPc { pc });
-            };
-            if matches!(instr, Instr::Halt) {
-                return Ok(pc);
-            }
-            if matches!(instr, Instr::RdCycle { .. }) {
-                return Err(EmuError::RdCycleInPrefix { pc });
-            }
-            if self.steps - start >= max_steps {
-                return Err(EmuError::StepLimit { steps: max_steps });
-            }
-            self.steps += 1;
-            pc = match self.step_at(instr, pc)? {
-                Some(next) => next,
-                None => unreachable!("halt is intercepted above"),
             };
         }
     }

@@ -26,7 +26,6 @@ use pandora_isa::{Program, Reg};
 
 use crate::config::SimConfig;
 use crate::fault::FaultPlan;
-use crate::func::{EmuError, Emulator};
 use crate::mem::hierarchy::Hierarchy;
 use crate::mem::memory::Memory;
 use crate::opt::hook::{FaultHook, Hooks};
@@ -40,15 +39,21 @@ pub use crate::error::{DeadlockDiagnostics, SimError};
 /// [`Machine::snapshot`] and re-imposed by [`Machine::restore`].
 ///
 /// A checkpoint is a *deep copy of everything that determines future
-/// behaviour*: the architectural state (registers, memory with its
-/// `dirty_hi` write high-water mark, program), the microarchitectural
-/// window (fetch buffer, rename tables, ROB, load/store queues),
-/// the cache hierarchy and branch predictors, the accumulated
-/// statistics/trace, and the full hook list — including learned
-/// optimization tables and the noise hook's `SmallRng` streams *at
-/// their current positions*, so trials forked from one warmed
+/// behaviour*: the architectural state (registers, memory, program),
+/// the microarchitectural window (fetch buffer, rename tables, ROB,
+/// load/store queues), the cache hierarchy and branch predictors, the
+/// accumulated statistics/trace, and the full hook list — including
+/// learned optimization tables and the noise hook's `SmallRng` streams
+/// *at their current positions*, so trials forked from one warmed
 /// checkpoint resume the exact noise sequence a serial replay would
 /// see.
+///
+/// The checkpoint's memory is a *sealed image* (see [`Memory`]): it
+/// carries a process-unique image id and is never written again.
+/// Machines forked from it — by [`Machine::from_checkpoint`], or by
+/// [`Machine::restore`] after their first restore from it — share the
+/// id and track the 4 KiB pages they dirty, so each later restore
+/// copies only those pages instead of the whole written prefix.
 ///
 /// The pipeline stages themselves are stateless schedulers and are not
 /// part of the image.
@@ -269,18 +274,22 @@ impl Machine {
     }
 
     /// Captures a deep [`Checkpoint`] of the machine — see
-    /// [`Checkpoint`] for exactly what the image contains. The machine
-    /// is not perturbed; snapshotting mid-run and continuing produces
-    /// the same statistics as never snapshotting.
+    /// [`Checkpoint`] for exactly what the image contains — and seals
+    /// the checkpoint's memory as a new image. The machine is not
+    /// perturbed; snapshotting mid-run and continuing produces the same
+    /// statistics as never snapshotting.
     #[must_use]
     pub fn snapshot(&self) -> Checkpoint {
+        let mut state = self.state.clone();
+        state.mem.seal();
         Checkpoint {
-            state: self.state.clone(),
+            state,
             hooks: self.hooks.clone(),
         }
     }
 
-    /// Re-imposes a [`Checkpoint`] on this machine, in place.
+    /// Re-imposes a [`Checkpoint`] on this machine, in place, and
+    /// returns the number of 4 KiB memory pages it rewrote.
     ///
     /// This is a *restore*, not a reset: no hook is re-derived from its
     /// seed — the noise RNG streams, learned optimization tables, and
@@ -288,13 +297,25 @@ impl Machine {
     /// left them, so a restored machine's continuation is bit-equal to
     /// the snapshotted machine's (the golden-stats checkpoint gate
     /// pins this). Works from *any* prior machine state, including a
-    /// recycled pool machine of a different shape; memory restores via
-    /// [`Memory::restore_from`], which zeroes the stale dirty tail and
-    /// adopts the checkpoint's high-water mark so no bytes from the
-    /// previous occupant survive.
-    pub fn restore(&mut self, ck: &Checkpoint) {
-        self.state.restore_from(&ck.state);
-        self.hooks = ck.hooks.clone();
+    /// recycled pool machine of a different shape.
+    ///
+    /// Memory restores via [`Memory::restore_from`]. On a machine that
+    /// already descends from `ck` (built by [`Machine::from_checkpoint`]
+    /// or restored from `ck` before) only the pages written since are
+    /// copied back; any other machine pays one copy of the
+    /// checkpoint's written prefix and zeroes its own stale tail. Either
+    /// way the machine adopts the checkpoint's dirty bookkeeping, so no
+    /// byte of the previous occupant survives this restore, a later
+    /// reset, or a later restore.
+    ///
+    /// Once a machine has been restored from `ck`, restoring it from
+    /// `ck` again allocates nothing: every buffer is rewound with
+    /// `clone_from`, and hooks are restored in place whenever the hook
+    /// lists match name by name.
+    pub fn restore(&mut self, ck: &Checkpoint) -> usize {
+        let pages = self.state.restore_from(&ck.state);
+        self.hooks.clone_from(&ck.hooks);
+        pages
     }
 
     /// Builds a fresh machine directly from a checkpoint — the
@@ -341,66 +362,6 @@ impl Machine {
             self.step()?;
         }
         Ok(())
-    }
-
-    /// Two-tier execution: runs the program prefix up to `boundary_pc`
-    /// on the functional [`Emulator`] (timing-free, ~100× cheaper per
-    /// instruction) and seeds a fresh pipeline machine from the
-    /// resulting *architectural* state — registers, memory, and the
-    /// resume pc.
-    ///
-    /// The tier boundary is architectural only: the returned machine
-    /// starts at cycle 0 with cold caches, cold predictors, and fresh
-    /// hook state, exactly as if the prefix's register/memory effects
-    /// had been preloaded by hand. Microarchitectural warm-up done by
-    /// the prefix is *not* carried over — use
-    /// [`Machine::snapshot`]/[`Machine::restore`] when cache and
-    /// predictor state must survive the boundary.
-    ///
-    /// The prefix must be timing-free: a `rdcycle` before the boundary
-    /// is rejected ([`EmuError::RdCycleInPrefix`]) because the
-    /// emulator's timer counts instructions while the pipeline's
-    /// counts (noise-quantized) cycles. `rdcycle` *after* the boundary
-    /// is fine and measures the cycle-accurate region only.
-    ///
-    /// # Errors
-    ///
-    /// As [`Emulator::run_to_pc`].
-    pub fn fast_forward(
-        cfg: SimConfig,
-        prog: &Program,
-        boundary_pc: usize,
-        max_steps: u64,
-    ) -> Result<Machine, EmuError> {
-        let mut emu = Emulator::new(Memory::new(cfg.mem_size));
-        let pc = emu.run_to_pc(prog, boundary_pc, max_steps)?;
-        let mut m = Machine::new(cfg);
-        m.load_program(prog);
-        m.seed_from_emulator(&emu, pc);
-        Ok(m)
-    }
-
-    /// Adopts an emulator's architectural state — registers, memory —
-    /// and resumes fetch at `resume_pc`. The machine must not have
-    /// stepped yet; callers that need to pre-seed memory before the
-    /// functional prefix runs can drive [`Emulator::run_to_pc`]
-    /// themselves and finish the handoff here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after the machine has started executing.
-    pub fn seed_from_emulator(&mut self, emu: &Emulator, resume_pc: usize) {
-        assert_eq!(
-            self.state.cycle, 0,
-            "seed_from_emulator is only valid before run()"
-        );
-        for (i, &v) in emu.regs().iter().enumerate() {
-            self.state.arch_regs[i] = v;
-            let tag = self.state.rat[i] as usize;
-            self.state.prf_vals[tag] = v;
-        }
-        self.state.mem.restore_from(emu.mem());
-        self.state.fetch_pc = resume_pc;
     }
 
     /// Installs a fault plan: each scheduled event is applied at the

@@ -1,6 +1,7 @@
 //! Flat, byte-addressable data memory.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pandora_isa::Width;
 
@@ -25,12 +26,42 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// Log2 of the dirty-tracking page size: restore moves memory in 4 KiB
+/// pages.
+const PAGE_SHIFT: usize = 12;
+
+/// Process-wide source of sealed-image ids; 0 means "no image". The
+/// ids publish no other data (only their uniqueness matters), so
+/// `Relaxed` suffices.
+static NEXT_IMAGE: AtomicU64 = AtomicU64::new(1);
+
 /// Flat, byte-addressable data memory.
 ///
 /// The simulator uses a single physical address space (virtual ==
 /// physical); software-level protection is provided by the sandbox
 /// verifier, not by paging — which is exactly the setting of the
 /// paper's DMP attack (§V-B).
+///
+/// Besides the bytes, a memory keeps two pieces of bookkeeping that
+/// make recycling and checkpoint restore proportional to what a trial
+/// wrote rather than to the memory size:
+///
+/// * the **write high-water mark** ([`Memory::dirty_hi`]): every byte
+///   at or above it is zero, so the whole-memory [`Memory::clear`] of a
+///   machine reset zero-fills only `..dirty_hi`;
+/// * a **page-dirty bitmap** over 4 KiB pages plus the id of the
+///   **sealed image** the memory descends from. Invariant: when the id
+///   is nonzero, the memory equals that image except on pages whose
+///   bit is set. [`Machine::snapshot`] seals the checkpoint's copy
+///   (fresh id, empty bitmap); every [`Memory::write`],
+///   [`Memory::write_bytes`] and [`Memory::clear`] sets the bits of
+///   the pages it touches; and [`Memory::restore_from`] between two
+///   memories of the same image copies only the pages either side
+///   dirtied.
+///
+/// The image id is drawn from a process-wide counter, so it depends on
+/// the order checkpoints were taken in. It is pure bookkeeping: it
+/// never reaches equality, `Debug` output, digests or reports.
 ///
 /// ```
 /// use pandora_sim::Memory;
@@ -39,20 +70,19 @@ impl std::error::Error for MemFault {}
 /// assert_eq!(m.read_u64(16).unwrap(), 0xdead_beef);
 /// assert!(m.read_u64(4090).is_err());
 /// ```
+///
+/// [`Machine::snapshot`]: crate::Machine::snapshot
 #[derive(Clone, Eq)]
 pub struct Memory {
     bytes: Vec<u8>,
-    /// Exclusive upper bound of bytes that may be nonzero — the
-    /// write high-water mark. Whole-memory [`Memory::clear`] (the
-    /// [`Machine::reset`] path, and therefore every fleet machine
-    /// recycle) zero-fills only `..dirty_hi` instead of the full
-    /// backing store: a trial that touched a few KiB of a multi-MiB
-    /// memory resets in proportion to its footprint, which is what
-    /// makes a pooled fleet machine cheaper to recycle than a fresh
-    /// `Machine::new` is to construct.
-    ///
-    /// [`Machine::reset`]: crate::Machine::reset
+    /// Exclusive upper bound of bytes that may be nonzero.
     dirty_hi: usize,
+    /// One bit per page (bit `p % 64` of word `p / 64`): set when the
+    /// page may differ from the sealed image `base`.
+    dirty: Vec<u64>,
+    /// The sealed image this memory equals outside its dirty pages;
+    /// 0 when it descends from none.
+    base: u64,
 }
 
 impl fmt::Debug for Memory {
@@ -64,9 +94,11 @@ impl fmt::Debug for Memory {
     }
 }
 
-/// Equality is over contents only: the dirty high-water mark is a
-/// conservative bookkeeping bound (a cleared-then-reused memory may
-/// carry a higher mark than a fresh one with identical bytes).
+/// Equality is over contents only: the dirty high-water mark and the
+/// page bitmap are conservative bookkeeping bounds (a cleared-then-
+/// reused memory may carry a higher mark and more dirty pages than a
+/// fresh one with identical bytes), and the image id is process-order
+/// dependent.
 impl PartialEq for Memory {
     fn eq(&self, other: &Memory) -> bool {
         self.bytes == other.bytes
@@ -77,9 +109,12 @@ impl Memory {
     /// Creates a zero-filled memory of `size` bytes.
     #[must_use]
     pub fn new(size: usize) -> Memory {
+        let pages = size.div_ceil(1 << PAGE_SHIFT);
         Memory {
             bytes: vec![0; size],
             dirty_hi: 0,
+            dirty: vec![0; pages.div_ceil(64)],
+            base: 0,
         }
     }
 
@@ -102,6 +137,22 @@ impl Memory {
             Ok(addr as usize)
         } else {
             Err(MemFault { addr, len })
+        }
+    }
+
+    /// Sets the dirty bit of the page holding byte `at`.
+    #[inline]
+    fn mark(&mut self, at: usize) {
+        let page = at >> PAGE_SHIFT;
+        self.dirty[page / 64] |= 1 << (page % 64);
+    }
+
+    /// Sets the dirty bits of every page overlapping `lo..hi`.
+    fn mark_range(&mut self, lo: usize, hi: usize) {
+        if lo < hi {
+            for page in lo >> PAGE_SHIFT..=(hi - 1) >> PAGE_SHIFT {
+                self.dirty[page / 64] |= 1 << (page % 64);
+            }
         }
     }
 
@@ -133,6 +184,10 @@ impl Memory {
             self.bytes[base + i] = (value >> (8 * i)) as u8;
         }
         self.dirty_hi = self.dirty_hi.max(base + n);
+        // An access of at most 8 bytes spans at most two pages: two
+        // unconditional bit-sets, no loop, on the store-drain hot path.
+        self.mark(base);
+        self.mark(base + n - 1);
         Ok(())
     }
 
@@ -181,6 +236,7 @@ impl Memory {
         let base = self.check(addr, data.len())?;
         self.bytes[base..base + data.len()].copy_from_slice(data);
         self.dirty_hi = self.dirty_hi.max(base + data.len());
+        self.mark_range(base, base + data.len());
         Ok(())
     }
 
@@ -202,37 +258,76 @@ impl Memory {
         self.dirty_hi
     }
 
-    /// Makes `self` equal to `src` — contents *and* dirty mark — in
-    /// place, touching only the dirty prefixes instead of the whole
-    /// backing store.
+    /// Seals this memory as a new immutable image: a fresh
+    /// process-wide image id and an empty page bitmap, so every memory
+    /// later cloned from it or restored from it moves only the pages it
+    /// dirtied. [`Machine::snapshot`] seals the checkpoint's own copy,
+    /// which is never written again; clones keep the id, which is sound
+    /// because their contents are identical.
     ///
-    /// Restoring the mark is a correctness requirement, not an
-    /// optimization detail: [`Memory`] equality is contents-only and a
-    /// partial [`Memory::clear`] keeps the mark, so a checkpoint
-    /// restore that copied bytes but left a *lower* stale mark would
-    /// let live bytes above it survive the next whole-memory clear
-    /// (the recycled-pool `reset_to` path) — leaking one trial's
-    /// secrets into the next. This routine therefore (1) zeroes the
-    /// stale region between `src`'s mark and `self`'s old mark, and
-    /// (2) adopts `src`'s mark, relying on the invariant that bytes at
-    /// or above a memory's mark are zero.
-    pub fn restore_from(&mut self, src: &Memory) {
-        if self.bytes.len() != src.bytes.len() {
+    /// [`Machine::snapshot`]: crate::Machine::snapshot
+    pub(crate) fn seal(&mut self) {
+        self.base = NEXT_IMAGE.fetch_add(1, Ordering::Relaxed);
+        self.dirty.fill(0);
+    }
+
+    /// Makes `self` equal to `src` in place — contents, high-water
+    /// mark, page bitmap and image id — and returns how many 4 KiB
+    /// pages it rewrote.
+    ///
+    /// When both memories descend from the same sealed image and have
+    /// the same size (a checkpoint fork being restored from its
+    /// checkpoint), each equals the image outside its own dirty pages,
+    /// so copying `src`'s bytes over the union of the two bitmaps makes
+    /// them equal everywhere: a trial that wrote two pages costs two
+    /// page copies. Otherwise the high-water-mark path runs: zero
+    /// `self`'s stale tail above `src`'s mark and copy `src`'s whole
+    /// dirty prefix (across sizes, copy everything).
+    ///
+    /// Adopting `src`'s bookkeeping is a correctness requirement, not
+    /// an optimization detail: [`Memory`] equality is contents-only,
+    /// a partial [`Memory::clear`] keeps the mark, and the next
+    /// whole-memory clear (the recycled-pool `reset_to` path) and the
+    /// next restore trust the mark and the bitmap. A stale lower mark,
+    /// or a bitmap missing a page, would let the previous trial's
+    /// bytes survive — leaking one trial's secrets into the next.
+    pub fn restore_from(&mut self, src: &Memory) -> usize {
+        let len = self.bytes.len();
+        let pages = if self.base != 0 && self.base == src.base && len == src.bytes.len() {
+            let mut copied = 0;
+            for (w, (&mine, &theirs)) in self.dirty.iter().zip(&src.dirty).enumerate() {
+                let mut bits = mine | theirs;
+                while bits != 0 {
+                    let lo = (w * 64 + bits.trailing_zeros() as usize) << PAGE_SHIFT;
+                    let hi = (lo + (1 << PAGE_SHIFT)).min(len);
+                    self.bytes[lo..hi].copy_from_slice(&src.bytes[lo..hi]);
+                    copied += 1;
+                    bits &= bits - 1;
+                }
+            }
+            copied
+        } else if len == src.bytes.len() {
+            let touched = self.dirty_hi.max(src.dirty_hi);
+            if self.dirty_hi > src.dirty_hi {
+                self.bytes[src.dirty_hi..self.dirty_hi].fill(0);
+            }
+            self.bytes[..src.dirty_hi].copy_from_slice(&src.bytes[..src.dirty_hi]);
+            touched.div_ceil(1 << PAGE_SHIFT)
+        } else {
             self.bytes.clone_from(&src.bytes);
-            self.dirty_hi = src.dirty_hi;
-            return;
-        }
-        if self.dirty_hi > src.dirty_hi {
-            self.bytes[src.dirty_hi..self.dirty_hi].fill(0);
-        }
-        self.bytes[..src.dirty_hi].copy_from_slice(&src.bytes[..src.dirty_hi]);
+            src.bytes.len().div_ceil(1 << PAGE_SHIFT)
+        };
         self.dirty_hi = src.dirty_hi;
+        self.dirty.clone_from(&src.dirty);
+        self.base = src.base;
+        pages
     }
 
     /// Zero-fills `len` bytes starting at `addr`. A clear that covers
     /// the whole dirty prefix (notably the whole-memory clear issued by
     /// machine reset) zero-fills only up to the write high-water mark —
     /// everything beyond it is already zero — and rewinds the mark.
+    /// The pages it zero-fills are marked dirty.
     ///
     /// # Errors
     ///
@@ -241,9 +336,11 @@ impl Memory {
         let base = self.check(addr, len)?;
         if base == 0 && len >= self.dirty_hi {
             self.bytes[..self.dirty_hi].fill(0);
+            self.mark_range(0, self.dirty_hi);
             self.dirty_hi = 0;
         } else {
             self.bytes[base..base + len].fill(0);
+            self.mark_range(base, base + len);
         }
         Ok(())
     }
@@ -366,6 +463,63 @@ mod tests {
         assert_eq!(other.size(), 1 << 16);
         assert_eq!(other, ck);
         assert_eq!(other.dirty_hi(), ck.dirty_hi());
+    }
+
+    #[test]
+    fn restore_between_forks_of_one_image_copies_only_dirty_pages() {
+        let mut image = Memory::new(1 << 16);
+        image.write_bytes(0x100, &[7; 32]).unwrap();
+        image.write_u64(0x8000, 0x1234).unwrap();
+        image.seal();
+
+        let mut fork = image.clone();
+        assert_eq!(
+            fork.restore_from(&image),
+            0,
+            "an untouched fork copies nothing"
+        );
+        fork.write_u64(0x2ffc, u64::MAX).unwrap(); // straddles pages 2 and 3
+        fork.write_u8(0xffff, 1).unwrap(); // the last page, above the image's mark
+        assert_eq!(fork.restore_from(&image), 3);
+        assert_eq!(fork, image);
+        assert_eq!(fork.dirty_hi(), image.dirty_hi());
+        assert_eq!(
+            fork.restore_from(&image),
+            0,
+            "the image's bitmap was adopted"
+        );
+
+        // Fork to fork: the union of both bitmaps moves, and the
+        // destination inherits the source's dirty pages.
+        let mut a = image.clone();
+        a.write_u8(0x1000, 1).unwrap();
+        let mut b = image.clone();
+        b.write_u8(0x5000, 2).unwrap();
+        assert_eq!(a.restore_from(&b), 2);
+        assert_eq!(a, b);
+        assert_eq!(a.restore_from(&image), 1);
+        assert_eq!(a, image);
+
+        // Clears mark what they zero, including the whole-memory clear
+        // of a reset, which leaves a fork equal to a fresh memory.
+        a.clear(0x8000, 8).unwrap();
+        assert_eq!(a.restore_from(&image), 1);
+        a.clear(0, 1 << 16).unwrap();
+        assert_eq!(a, Memory::new(1 << 16));
+        assert_eq!(a.restore_from(&image), 9, "pages below the old mark 0x8008");
+        assert_eq!(a, image);
+
+        // A memory of no image takes the high-water-mark path and then
+        // joins the image.
+        let mut cold = Memory::new(1 << 16);
+        cold.write_u8(0x9000, 5).unwrap();
+        assert_eq!(
+            cold.restore_from(&image),
+            10,
+            "pages below max(0x9001, 0x8008)"
+        );
+        assert_eq!(cold, image);
+        assert_eq!(cold.restore_from(&image), 0);
     }
 
     #[test]

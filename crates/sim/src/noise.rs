@@ -46,7 +46,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::event::SimEvent;
 use crate::mem::hierarchy::PrefetchFill;
-use crate::opt::hook::OptHook;
+use crate::opt::hook::{restore_same, OptHook};
 use crate::pipeline::PipelineState;
 
 /// Seed-driven environmental noise switches, embedded in
@@ -194,6 +194,10 @@ impl OptHook for NoiseHook {
 
     fn box_clone(&self) -> Box<dyn OptHook> {
         Box::new(self.clone())
+    }
+
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        restore_same(self, src)
     }
 
     fn reset(&mut self, _cfg: &crate::SimConfig) {

@@ -42,6 +42,13 @@ pub struct ReuseTable {
 }
 
 impl ReuseTable {
+    /// Capacity-preserving restore: copies `src`'s entries into this
+    /// table's buffer.
+    pub(crate) fn restore_from(&mut self, src: &ReuseTable) {
+        self.entries.clone_from(&src.entries);
+        self.key_kind = src.key_kind;
+    }
+
     /// Creates a direct-mapped table with `entries` slots.
     #[must_use]
     pub fn new(entries: usize, key_kind: ReuseKey) -> ReuseTable {

@@ -74,6 +74,27 @@ pub struct Imp {
 }
 
 impl Imp {
+    /// Capacity-preserving restore: every table is rewound with
+    /// `clone_from`, reusing its allocation.
+    pub(crate) fn restore_from(&mut self, src: &Imp) {
+        let Imp {
+            levels,
+            distance,
+            fill,
+            streams,
+            recent,
+            candidates,
+            confirmed,
+        } = src;
+        self.levels = *levels;
+        self.distance = *distance;
+        self.fill = *fill;
+        self.streams.clone_from(streams);
+        self.recent.clone_from(recent);
+        self.candidates.clone_from(candidates);
+        self.confirmed.clone_from(confirmed);
+    }
+
     /// Builds an IMP from the optimization config.
     #[must_use]
     pub fn new(opts: &OptConfig) -> Imp {

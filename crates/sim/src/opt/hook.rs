@@ -21,6 +21,7 @@
 //! [`FaultPlan`] from [`OptHook::on_cycle_start`] instead of bespoke
 //! plumbing in `Machine::step`.
 
+use std::any::Any;
 use std::fmt;
 
 use pandora_isa::{AluOp, FpOp, Reg, Width};
@@ -64,13 +65,22 @@ pub enum MemoLookup {
 /// words — mutation always goes through `&mut self`): machines migrate
 /// across fleet worker threads, and [`crate::Checkpoint`]s are shared
 /// read-only behind `Arc` so forked trials can clone the hook list.
-pub trait OptHook: fmt::Debug + Send + Sync {
+pub trait OptHook: Any + fmt::Debug + Send + Sync {
     /// A short stable identifier; [`Hooks::install`] replaces any
     /// existing hook with the same name.
     fn name(&self) -> &'static str;
 
     /// Clones this hook into a box (object-safe `Clone`).
     fn box_clone(&self) -> Box<dyn OptHook>;
+
+    /// Makes `self` equal to `src` in place, reusing its allocations,
+    /// when `src` is the same hook type, and reports whether it did.
+    /// On `false`, `self` is untouched and [`Hooks`] replaces it with
+    /// `src.box_clone()` — the default, always correct, allocates.
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        let _ = src;
+        false
+    }
 
     /// Rewinds this hook to the state [`Hooks::from_config`] would
     /// have built it in, reusing existing allocations: learned state
@@ -215,6 +225,38 @@ impl Clone for Hooks {
             ss: self.ss,
         }
     }
+
+    /// The checkpoint-restore path: when the two lists match name by
+    /// name, every hook is restored in place ([`OptHook::restore_from`])
+    /// and nothing is boxed; otherwise the list is re-cloned.
+    fn clone_from(&mut self, src: &Hooks) {
+        let same_names = self.list.len() == src.list.len()
+            && self.list.iter().zip(&src.list).all(|(a, b)| a.name() == b.name());
+        if same_names {
+            for (dst, src) in self.list.iter_mut().zip(&src.list) {
+                if !dst.restore_from(&**src) {
+                    *dst = src.box_clone();
+                }
+            }
+        } else {
+            self.list.clear();
+            self.list.extend(src.list.iter().map(|h| h.box_clone()));
+        }
+        self.packing = src.packing;
+        self.ss = src.ss;
+    }
+}
+
+/// `src` as an `H`, if it is one.
+fn downcast<H: OptHook>(src: &dyn OptHook) -> Option<&H> {
+    let src: &dyn Any = src;
+    src.downcast_ref()
+}
+
+/// In-place [`OptHook::restore_from`] for a hook with no heap state:
+/// copies `src` over `dst` if it is an `H`.
+pub(crate) fn restore_same<H: OptHook + Clone>(dst: &mut H, src: &dyn OptHook) -> bool {
+    downcast(src).map(|src| dst.clone_from(src)).is_some()
 }
 
 impl Hooks {
@@ -521,6 +563,10 @@ impl OptHook for SilentStoreHook {
         Box::new(*self)
     }
 
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        restore_same(self, src)
+    }
+
     fn silent_stores(&self) -> bool {
         true
     }
@@ -547,6 +593,10 @@ impl OptHook for CompSimplHook {
         Box::new(*self)
     }
 
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        restore_same(self, src)
+    }
+
     fn plan_alu(&self, op: AluOp, a: u64, b: u64) -> Option<ExecPlan> {
         Some(plan_alu(op, a, b, &self.lat, &self.opts))
     }
@@ -570,6 +620,10 @@ impl OptHook for PipeCompressHook {
         Box::new(*self)
     }
 
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        restore_same(self, src)
+    }
+
     fn operand_packing(&self) -> bool {
         true
     }
@@ -589,6 +643,15 @@ impl OptHook for CompReuseHook {
 
     fn box_clone(&self) -> Box<dyn OptHook> {
         Box::new(self.clone())
+    }
+
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        let Some(src) = downcast::<Self>(src) else {
+            return false;
+        };
+        self.table.restore_from(&src.table);
+        self.simple_alu = src.simple_alu;
+        true
     }
 
     fn reset(&mut self, _cfg: &SimConfig) {
@@ -647,6 +710,14 @@ impl OptHook for ValuePredHook {
         Box::new(self.clone())
     }
 
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        let Some(src) = downcast::<Self>(src) else {
+            return false;
+        };
+        self.vp.restore_from(&src.vp);
+        true
+    }
+
     fn reset(&mut self, _cfg: &SimConfig) {
         self.vp.clear();
     }
@@ -676,6 +747,10 @@ impl OptHook for RfCompressHook {
         Box::new(*self)
     }
 
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        restore_same(self, src)
+    }
+
     fn rfc_compresses(&self, result: u64, arch_regs: &[u64]) -> bool {
         self.rfc.compresses(result, arch_regs)
     }
@@ -695,6 +770,10 @@ impl OptHook for CdpHook {
 
     fn box_clone(&self) -> Box<dyn OptHook> {
         Box::new(*self)
+    }
+
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        restore_same(self, src)
     }
 
     fn on_commit_load(
@@ -726,6 +805,14 @@ impl OptHook for ImpHook {
 
     fn box_clone(&self) -> Box<dyn OptHook> {
         Box::new(self.clone())
+    }
+
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        let Some(src) = downcast::<Self>(src) else {
+            return false;
+        };
+        self.imp.restore_from(&src.imp);
+        true
     }
 
     fn reset(&mut self, _cfg: &SimConfig) {
@@ -774,6 +861,15 @@ impl OptHook for FaultHook {
 
     fn box_clone(&self) -> Box<dyn OptHook> {
         Box::new(self.clone())
+    }
+
+    fn restore_from(&mut self, src: &dyn OptHook) -> bool {
+        let Some(src) = downcast::<Self>(src) else {
+            return false;
+        };
+        self.plan.restore_from(&src.plan);
+        self.cursor = src.cursor;
+        true
     }
 
     fn on_cycle_start(&mut self, st: &mut PipelineState) {
@@ -892,6 +988,35 @@ mod tests {
             MemoLookup::Miss,
             "reuse memos must be forgotten"
         );
+    }
+
+    #[test]
+    fn clone_from_restores_matching_lists_in_place() {
+        let boxes = |h: &Hooks| -> Vec<*const ()> {
+            h.list
+                .iter()
+                .map(|h| std::ptr::from_ref::<dyn OptHook>(&**h).cast::<()>())
+                .collect()
+        };
+        let cfg = full_cfg();
+        let mut src = Hooks::from_config(&cfg);
+        for _ in 0..16 {
+            src.on_load_writeback(3, 0xdead);
+        }
+        src.memo_insert(5, [6, 7], [None, None], 42, &mut |_| false);
+        let mut dst = Hooks::from_config(&cfg);
+        dst.on_load_writeback(9, 1);
+        let before = boxes(&dst);
+        dst.clone_from(&src);
+        assert_eq!(boxes(&dst), before, "matching lists restore without re-boxing");
+        assert_eq!(format!("{dst:?}"), format!("{src:?}"));
+        assert_eq!(dst.predict_load(3), Some(0xdead));
+
+        // A list of another shape is re-cloned.
+        dst.install(Box::new(FaultHook::new(FaultPlan::default(), 0)));
+        dst.clone_from(&src);
+        assert_eq!(dst.names(), src.names());
+        assert_eq!(format!("{dst:?}"), format!("{src:?}"));
     }
 
     #[test]

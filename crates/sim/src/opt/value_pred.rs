@@ -40,6 +40,14 @@ pub struct ValuePredictor {
 }
 
 impl ValuePredictor {
+    /// Capacity-preserving restore: `HashMap::clone_from` reuses the
+    /// table's buckets when they already fit.
+    pub(crate) fn restore_from(&mut self, src: &ValuePredictor) {
+        self.table.clone_from(&src.table);
+        self.threshold = src.threshold;
+        self.kind = src.kind;
+    }
+
     /// Creates a last-value predictor that predicts once a value has
     /// repeated `threshold` times.
     #[must_use]

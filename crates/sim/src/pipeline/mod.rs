@@ -367,15 +367,16 @@ impl PipelineState {
 
     /// Makes `self` equal to `src` in place, reusing every allocation
     /// the shapes share — the restore half of
-    /// [`crate::Machine::restore`]. Memory goes through
-    /// [`Memory::restore_from`] so only the dirty prefixes move (and
-    /// the write high-water mark travels with the contents); the
+    /// [`crate::Machine::restore`] — and returns the number of memory
+    /// pages rewritten. Memory goes through [`Memory::restore_from`] so
+    /// only pages dirtied since the fork move (and the memory's
+    /// bookkeeping travels with the contents); the program and the
     /// vector/deque fields use `clone_from` to keep their capacity.
     ///
     /// The exhaustive destructuring below is deliberate: adding a field
     /// to `PipelineState` without deciding how it restores must be a
     /// compile error, not a silent checkpoint divergence.
-    pub(crate) fn restore_from(&mut self, src: &PipelineState) {
+    pub(crate) fn restore_from(&mut self, src: &PipelineState) -> usize {
         let PipelineState {
             cfg,
             prog,
@@ -409,7 +410,7 @@ impl PipelineState {
         } = src;
         self.cfg = *cfg;
         self.prog.clone_from(prog);
-        self.mem.restore_from(mem);
+        let pages = self.mem.restore_from(mem);
         self.hier.restore_from(hier);
         self.cycle = *cycle;
         self.next_seq = *next_seq;
@@ -436,6 +437,7 @@ impl PipelineState {
         self.store_resolve_scratch.clone_from(store_resolve_scratch);
         self.exec_wakeup = *exec_wakeup;
         self.last_progress_cycle = *last_progress_cycle;
+        pages
     }
 
     /// The current cycle (for hooks that need timing context).

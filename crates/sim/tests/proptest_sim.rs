@@ -3,7 +3,8 @@
 
 use pandora_isa::{Asm, Reg, Width};
 use pandora_sim::{
-    Cache, CacheConfig, FaultPlan, Hierarchy, Machine, MemLatency, Memory, Replacement, SimConfig,
+    Cache, CacheConfig, Checkpoint, FaultPlan, Hierarchy, Machine, MemLatency, Memory, Replacement,
+    SimConfig,
 };
 use proptest::prelude::*;
 
@@ -178,5 +179,181 @@ proptest! {
         // Events landing after halt (or on no-op targets) don't fire,
         // so the count is bounded by the plan, not equal to it.
         prop_assert!(sa.faults_injected <= n as u64);
+    }
+}
+
+// ---- Checkpoint restore: no byte of a previous trial survives --------
+
+/// One memory mutation of a trial, with its address given relative to
+/// whichever memory it lands on (see [`apply`]).
+#[derive(Clone, Copy, Debug)]
+struct MemOp {
+    /// 0: `write`, 1: `write_bytes`, 2: partial `clear`, 3: whole-memory
+    /// `clear`.
+    kind: u8,
+    /// 0: anywhere, 1: straddling a page boundary, 2: the last page,
+    /// 3: the upper half (above every checkpoint's written prefix).
+    place: u8,
+    r: u64,
+    len: usize,
+    value: u64,
+}
+
+fn mem_op() -> impl Strategy<Value = MemOp> {
+    (0u8..4, 0u8..4, any::<u64>(), 1usize..9000, any::<u64>()).prop_map(
+        |(kind, place, r, len, value)| MemOp {
+            kind,
+            place,
+            r,
+            len,
+            value,
+        },
+    )
+}
+
+/// Applies `op` to `mem`, clamped into bounds.
+fn apply(mem: &mut Memory, op: MemOp) {
+    let size = mem.size();
+    let addr = match op.place {
+        0 => op.r as usize % size,
+        1 => ((op.r as usize % (size >> 12)) + 1) * 4096 - (op.r >> 40) as usize % 8,
+        2 => size - 1 - op.r as usize % 4096,
+        _ => size / 2 + op.r as usize % (size / 2),
+    };
+    let len = op.len.min(size);
+    let at = |n: usize| addr.min(size - n) as u64;
+    match op.kind {
+        0 => {
+            let w = [Width::Byte, Width::Half, Width::Word, Width::Dword][op.r as usize % 4];
+            mem.write(at(w.bytes()), op.value, w).unwrap();
+        }
+        1 => {
+            let data: Vec<u8> = (0..len)
+                .map(|i| (op.value >> (i % 8 * 8)) as u8 | 1)
+                .collect();
+            mem.write_bytes(at(len), &data).unwrap();
+        }
+        2 => mem.clear(at(len), len).unwrap(),
+        _ => mem.clear(0, size).unwrap(),
+    }
+}
+
+/// Memory sizes under test: 64 KiB, 32 KiB, and one that ends in a
+/// partial page.
+const SIZES: [usize; 3] = [1 << 16, 1 << 15, 0x1_0800];
+
+/// A checkpoint taken mid-run (two committed stores in) on a machine
+/// of `SIZES[size]` whose memory was first shaped by `image`.
+fn checkpoint(size: usize, image: &[MemOp]) -> Checkpoint {
+    let mut a = Asm::new();
+    a.li(Reg::T0, 0x5ec2e7);
+    a.sd(Reg::T0, Reg::ZERO, 0x2ffc);
+    a.sd(Reg::T0, Reg::ZERO, 0x3000);
+    a.sd(Reg::T0, Reg::ZERO, 0x7ff0);
+    a.fence();
+    a.halt();
+    let mut m = Machine::new(SimConfig {
+        mem_size: SIZES[size],
+        ..SimConfig::default()
+    });
+    m.load_program(&a.assemble().unwrap());
+    for &op in image {
+        apply(m.mem_mut(), op);
+    }
+    m.run_until_committed(3, 100_000).unwrap();
+    m.snapshot()
+}
+
+/// After a restore from `ck`: memory equals the image byte for byte
+/// and carries its high-water mark, and a whole-memory clear of it
+/// leaves fresh memory behind.
+fn check_restored(m: &Machine, ck: &Checkpoint, step: &str) -> Result<(), TestCaseError> {
+    let (got, want) = (m.mem(), ck.mem());
+    prop_assert_eq!(got.size(), want.size(), "{}: size", step);
+    let bytes = |mem: &Memory| mem.read_bytes(0, mem.size()).unwrap().to_vec();
+    let first_diff = bytes(got)
+        .iter()
+        .zip(bytes(want))
+        .position(|(a, b)| *a != b);
+    prop_assert_eq!(
+        first_diff,
+        None,
+        "{}: first byte differing from the image",
+        step
+    );
+    prop_assert_eq!(got.dirty_hi(), want.dirty_hi(), "{}: dirty_hi", step);
+    let mut cleared = got.clone();
+    cleared.clear(0, cleared.size()).unwrap();
+    prop_assert!(
+        cleared == Memory::new(got.size()),
+        "{}: residue after a whole clear",
+        step
+    );
+    Ok(())
+}
+
+/// Runs the forked machine to its halt (pipeline stores), then the
+/// trial's own memory mutations.
+fn trial(m: &mut Machine, ops: &[MemOp]) {
+    m.run(100_000).unwrap();
+    for &op in ops {
+        apply(m.mem_mut(), op);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The secret-leak bug class: a trial's writes — page-straddling,
+    /// above the checkpoint's written prefix, on the last page, and
+    /// interleaved clears — must never survive a restore, whether the
+    /// machine was forked by `from_checkpoint` or recycled from an
+    /// unrelated occupant, across two checkpoints A→B→A and across
+    /// memory sizes.
+    #[test]
+    fn checkpoint_restore_leaves_no_trace_of_the_trial(
+        sizes in (0usize..3, 0usize..3, 0usize..3),
+        images in (prop::collection::vec(mem_op(), 0..4), prop::collection::vec(mem_op(), 0..4)),
+        trials in (
+            prop::collection::vec(mem_op(), 0..12),
+            prop::collection::vec(mem_op(), 0..12),
+            prop::collection::vec(mem_op(), 0..12),
+            prop::collection::vec(mem_op(), 0..12),
+        ),
+        recycled: bool,
+    ) {
+        let (size_a, size_b, size_prev) = sizes;
+        let a = checkpoint(size_a, &images.0);
+        let b = checkpoint(size_b, &images.1);
+        let mut m = if recycled {
+            let mut prev = Machine::new(SimConfig {
+                mem_size: SIZES[size_prev],
+                ..SimConfig::default()
+            });
+            for &op in &trials.0 {
+                apply(prev.mem_mut(), op);
+            }
+            prev.restore(&a);
+            prev
+        } else {
+            Machine::from_checkpoint(&a)
+        };
+        check_restored(&m, &a, "fork of A")?;
+        trial(&mut m, &trials.1);
+        m.restore(&b);
+        check_restored(&m, &b, "A -> B")?;
+        trial(&mut m, &trials.2);
+        m.restore(&a);
+        check_restored(&m, &a, "B -> A")?;
+        trial(&mut m, &trials.3);
+        m.restore(&a);
+        check_restored(&m, &a, "A -> A")?;
+        // A reset between trials (the pool's cold path) keeps the
+        // bookkeeping honest for the next restore.
+        trial(&mut m, &trials.1);
+        m.reset();
+        prop_assert!(*m.mem() == Memory::new(SIZES[size_a]), "reset leaves fresh memory");
+        m.restore(&a);
+        check_restored(&m, &a, "reset -> A")?;
     }
 }

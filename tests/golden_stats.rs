@@ -20,8 +20,8 @@
 use pandora_attacks::{AmplifyGadget, BsaesAttack, FlushKind};
 use pandora_isa::{Asm, FpOp, Reg};
 use pandora_sim::{
-    FaultKind, FaultPlan, Machine, NoiseConfig, OptConfig, ReuseKey, RfcMatch, SimConfig,
-    SimError, SimStats, VpKind,
+    Checkpoint, FaultKind, FaultPlan, Machine, NoiseConfig, OptConfig, ReuseKey, RfcMatch,
+    SimConfig, SimError, SimStats, VpKind,
 };
 
 fn printing() -> bool {
@@ -269,20 +269,11 @@ fn golden_fig5_under_pinned_seed_noise() {
     check_stats("FIG5_NOISY", m.stats(), &FIG5_NOISY);
 }
 
-/// The fig5 workload forked at the warm-prefix boundary instead of run
-/// straight through: program and gadget memory are baked into a
-/// checkpoint *before* `TARGET` holds the trial value, then the
-/// per-trial `old` is written after the fork and the continuation runs
-/// to halt. `recycled` (when primed by a previous case) is restored
-/// over rather than replaced, exercising the fleet pool's dirty-slot
-/// path on every case after the first.
-fn fig5_forked(
-    cfg: SimConfig,
-    kind: Option<FlushKind>,
-    old: u64,
-    new: u64,
-    recycled: &mut Option<Machine>,
-) -> Machine {
+/// The fig5 machine warmed to its fork boundary: program and gadget
+/// memory loaded, the six warm loads and the fence (seven committed
+/// instructions) run, `TARGET` not yet holding the trial value. Returns
+/// the warm donor and its checkpoint.
+fn fig5_warm(cfg: SimConfig, kind: Option<FlushKind>, new: u64) -> (Machine, Checkpoint) {
     let gadget = kind.map(|k| AmplifyGadget::new(&cfg, TARGET, DELAY, k));
     let mut a = Asm::new();
     a.ld(Reg::T0, Reg::ZERO, TARGET as i64);
@@ -307,11 +298,27 @@ fn fig5_forked(
         g.setup_memory(warm.mem_mut());
         g.setup_memory_flush_variant(warm.mem_mut());
     }
-    // Six warm loads + the fence = seven committed instructions.
     warm.run_until_committed(7, 1_000_000).expect("warm prefix completes");
     let ck = warm.snapshot();
     assert!(ck.cycle() > 0, "the boundary must be mid-run, not cycle 0");
+    (warm, ck)
+}
 
+/// The fig5 workload forked at the warm-prefix boundary instead of run
+/// straight through: program and gadget memory are baked into a
+/// checkpoint *before* `TARGET` holds the trial value, then the
+/// per-trial `old` is written after the fork and the continuation runs
+/// to halt. `recycled` (when primed by a previous case) is restored
+/// over rather than replaced, exercising the fleet pool's dirty-slot
+/// path on every case after the first.
+fn fig5_forked(
+    cfg: SimConfig,
+    kind: Option<FlushKind>,
+    old: u64,
+    new: u64,
+    recycled: &mut Option<Machine>,
+) -> Machine {
+    let (mut warm, ck) = fig5_warm(cfg, kind, new);
     let mut m = match recycled.take() {
         Some(mut m) => {
             m.restore(&ck);
@@ -431,6 +438,39 @@ fn golden_fig5_checkpoint_boundary_matches_straight_run() {
             );
         }
     }
+}
+
+/// Copy-volume gate for checkpoint restore: a machine forked from the
+/// fig5 checkpoint and run through one loud trial has written exactly
+/// two pages — `TARGET` (the trial value and the performed target
+/// store) and the trailing stores' page — so restoring it copies
+/// exactly those two, not the checkpoint's whole written prefix
+/// (gadget tables up to `DELAY`, over 128 pages). The machine that took
+/// the snapshot is not a descendant of the sealed image, so its first
+/// restore takes the full path, and from then on it is one.
+#[test]
+fn golden_fig5_fork_restore_copies_only_the_pages_the_trial_wrote() {
+    let cfg = SimConfig::with_opts(OptConfig::with_silent_stores());
+    let (mut donor, ck) = fig5_warm(cfg, Some(FlushKind::Contention), 42);
+    let prefix_pages = ck.mem().dirty_hi().div_ceil(4096);
+    assert!(prefix_pages > 128, "the gadget image spans {prefix_pages} pages");
+
+    let loud_trial = |m: &mut Machine| {
+        m.mem_mut().write_u64(TARGET, 41).expect("in memory");
+        let stats = m.run(1_000_000).expect("loud trial completes");
+        assert_eq!(stats.performed_stores, 6, "the trial is loud");
+    };
+    let mut fork = Machine::from_checkpoint(&ck);
+    assert_eq!(fork.restore(&ck), 0, "an untouched fork copies nothing");
+    loud_trial(&mut fork);
+    assert_eq!(fork.restore(&ck), 2, "fork: only the trial's two pages");
+    assert_eq!(fork.mem(), ck.mem());
+
+    loud_trial(&mut donor);
+    assert_eq!(donor.restore(&ck), prefix_pages, "donor: first restore copies the prefix");
+    loud_trial(&mut donor);
+    assert_eq!(donor.restore(&ck), 2, "donor: later restores copy only the trial's pages");
+    assert_eq!(donor.mem(), ck.mem());
 }
 
 #[test]

@@ -10,13 +10,13 @@
 //! are gone, and nothing reintroduces them silently.
 //!
 //! One `#[test]` covers the quiet and noisy fig. 5 configurations plus
-//! a [`Machine::reset`] + re-warm leg serially: the allocator is
-//! process-global, so splitting the measurements into separate
-//! `#[test]` functions would let the harness interleave them on
-//! different threads and misattribute counts. The reset leg pins the
-//! other half of the hot-loop contract — rewinding a machine for
-//! another calibration trial neither allocates nor frees the buffers
-//! the steady state depends on.
+//! a [`Machine::reset`] + re-warm leg and a [`Machine::restore`] leg
+//! serially: the allocator is process-global, so splitting the
+//! measurements into separate `#[test]` functions would let the
+//! harness interleave them on different threads and misattribute
+//! counts. The reset and restore legs pin the other half of the
+//! hot-loop contract — rewinding a machine for another trial neither
+//! allocates nor frees the buffers the steady state depends on.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,23 +120,40 @@ fn steady_state_step_is_allocation_free() {
          steady-state steps — reset must keep the hot loop's buffers at their high-water mark"
     );
 
-    // Restore leg: `Machine::restore` rewinds to a mid-run checkpoint
-    // with `clone_from` semantics — every state buffer is reused in
-    // place at its captured capacity. Taking the snapshot and the
-    // restore itself may allocate (a checkpoint is a deep clone, and
-    // restore re-clones the hook boxes); what must NOT allocate is the
-    // steady state afterwards, with *zero* re-warm steps: the
+    // Restore leg, on both configs: `Machine::restore` rewinds to a
+    // mid-run checkpoint in place. From the second restore on the same
+    // machine onward (the first makes the machine a descendant of the
+    // checkpoint's sealed memory image) the restore itself allocates
+    // nothing: memory copies back only its dirty pages, every state
+    // buffer is rewound with `clone_from` at its captured capacity, the
+    // program is re-cloned into its own buffer, and each hook is
+    // restored in place instead of re-boxed. The steady state afterwards
+    // must not allocate either, with *zero* re-warm steps: the
     // checkpoint captured the high-water marks, so the hot loop resumes
     // allocation-free from the first post-restore step.
-    let ck = noisy_machine.snapshot();
-    warmup(&mut noisy_machine, 1000); // drift past the checkpoint before rewinding
-    noisy_machine.restore(&ck);
-    let restored = steady_state_allocs("fig5_noisy_after_restore", &mut noisy_machine, 0);
-    assert_eq!(
-        restored, 0,
-        "post-restore noisy fig5 config allocated {restored} times across {MEASURED_STEPS} \
-         steady-state steps — restore must reuse every buffer at its captured high-water mark"
-    );
+    for (label, m) in [
+        ("fig5_quiet", &mut quiet_machine),
+        ("fig5_noisy", &mut noisy_machine),
+    ] {
+        let ck = m.snapshot();
+        warmup(m, 1000); // drift past the checkpoint before rewinding
+        m.restore(&ck);
+        warmup(m, 1000);
+        let before_restore = allocs_now();
+        m.restore(&ck);
+        let restore_allocs = allocs_now() - before_restore;
+        assert_eq!(
+            restore_allocs, 0,
+            "{label}: the second Machine::restore from one checkpoint allocated \
+             {restore_allocs} times; it must rewind in place"
+        );
+        let restored = steady_state_allocs(label, m, 0);
+        assert_eq!(
+            restored, 0,
+            "post-restore {label} config allocated {restored} times across {MEASURED_STEPS} \
+             steady-state steps — restore must reuse every buffer at its captured high-water mark"
+        );
+    }
 
     // Fleet leg: lockstep batch stepping through `Fleet::step_batch`
     // with an effective thread count of 1 runs inline on the caller's
